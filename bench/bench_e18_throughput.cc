@@ -6,11 +6,6 @@
 // msgs/sec through the simulator rises nearly linearly in B until per-message
 // work (clock stamping, delivery-gate checks, app dispatch) dominates.
 //
-// The batch sweep keeps delta timestamps off in every config so the ratio
-// isolates batching alone; a separate batch=32 config turns the delta wire
-// form on to price that knob independently (it trades a small decode cost
-// per frame for the §3.4 header-byte savings).
-//
 // google-benchmark binary; results are merged into BENCH_micro.json by
 // scripts/bench.sh (Release builds only).
 
@@ -41,12 +36,11 @@ struct RunTotals {
 };
 
 // One complete simulated run; member 0 is an observer that never sends.
-RunTotals RunOne(uint32_t batch, size_t payload_bytes, bool delta) {
+RunTotals RunOne(uint32_t batch, size_t payload_bytes) {
   sim::Simulator s(1800 + batch);
   catocs::FabricConfig cfg;
   cfg.num_members = kMembers;
   cfg.group.batching = batch;
-  cfg.group.delta_timestamps = delta;
   cfg.group.ack_gossip_interval = sim::Duration::Millis(kGossipMillis);
   catocs::GroupFabric fabric(&s, cfg);
   uint64_t delivered = 0;
@@ -77,10 +71,9 @@ RunTotals RunOne(uint32_t batch, size_t payload_bytes, bool delta) {
 void BM_SustainedThroughput(benchmark::State& state) {
   const uint32_t batch = static_cast<uint32_t>(state.range(0));
   const size_t payload_bytes = static_cast<size_t>(state.range(1));
-  const bool delta = state.range(2) != 0;
   RunTotals totals;
   for (auto _ : state) {
-    const RunTotals one = RunOne(batch, payload_bytes, delta);
+    const RunTotals one = RunOne(batch, payload_bytes);
     totals.delivered += one.delivered;
     totals.header_bytes += one.header_bytes;
     totals.transmissions += one.transmissions;
@@ -88,7 +81,6 @@ void BM_SustainedThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(totals.delivered));
   state.counters["batch"] = batch;
   state.counters["payload_bytes"] = static_cast<double>(payload_bytes);
-  state.counters["delta"] = delta ? 1 : 0;
   // Ordering metadata per transmitted data copy — the wire-overhead figure
   // E21 sweeps against N; tracked here so bench_compare.py can flag drift.
   state.counters["metadata_bytes_per_msg"] =
@@ -97,14 +89,13 @@ void BM_SustainedThroughput(benchmark::State& state) {
                                       static_cast<double>(totals.transmissions);
 }
 BENCHMARK(BM_SustainedThroughput)
-    ->ArgNames({"batch", "payload", "delta"})
-    ->Args({1, 16, 0})
-    ->Args({8, 16, 0})
-    ->Args({32, 16, 0})
-    ->Args({1, 256, 0})
-    ->Args({8, 256, 0})
-    ->Args({32, 256, 0})
-    ->Args({32, 16, 1})
+    ->ArgNames({"batch", "payload"})
+    ->Args({1, 16})
+    ->Args({8, 16})
+    ->Args({32, 16})
+    ->Args({1, 256})
+    ->Args({8, 256})
+    ->Args({32, 256})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -12,14 +12,11 @@
 #include "src/catocs/group.h"
 #include "src/catocs/stability.h"
 #include "src/catocs/vector_clock.h"
-#include "src/catocs/wire_codec.h"
-#include "src/mem/arena.h"
 #include "src/mem/pool.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
 #include "src/statelevel/ordered_cache.h"
 #include "src/txn/lock_manager.h"
-#include "src/txn/occ.h"
 
 namespace {
 
@@ -80,28 +77,9 @@ void BM_VectorClockDominates(benchmark::State& state) {
 }
 BENCHMARK(BM_VectorClockDominates)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The per-message receive-path gate, as the raw-speed layer runs it for a
-// delta-stamped frame: vd[sender]+1 == seq, then only the entries that
-// changed since the sender's previous frame. Constant-time for a burst
-// sender (one changed entry) regardless of group size; the O(N) full scan it
-// replaces is kept below as BM_CausallyDeliverableFull.
+// The per-message receive-path gate: vt[sender] == vd[sender]+1 and
+// vt[m] <= vd[m] elsewhere, fused into one scan over the full clock.
 void BM_CausallyDeliverable(benchmark::State& state) {
-  const int members = static_cast<int>(state.range(0));
-  catocs::VectorClock delivered = FullClock(members, 5);
-  const uint64_t seq = delivered.Get(1) + 1;
-  catocs::WireVt wire;
-  wire.keyframe = false;
-  wire.entries = {{1, seq}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(catocs::CausallyDeliverableDelta(wire, 1, seq, delivered));
-  }
-}
-BENCHMARK(BM_CausallyDeliverable)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-// The pre-delta gate: vt[sender] == vd[sender]+1 and vt[m] <= vd[m]
-// elsewhere, fused into one scan over the full clock. Still the path taken
-// by keyframes and by frames without a wire timestamp.
-void BM_CausallyDeliverableFull(benchmark::State& state) {
   const int members = static_cast<int>(state.range(0));
   catocs::VectorClock delivered = FullClock(members, 5);
   catocs::VectorClock vt = delivered;
@@ -110,7 +88,7 @@ void BM_CausallyDeliverableFull(benchmark::State& state) {
     benchmark::DoNotOptimize(catocs::CausallyDeliverable(vt, 1, delivered));
   }
 }
-BENCHMARK(BM_CausallyDeliverableFull)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_CausallyDeliverable)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 // Multicast fan-out per app message with sender-side batching: 32 sends
 // share one stamped GroupBatch frame, so each app message's share of the
@@ -193,22 +171,6 @@ void BM_HeapMessageChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeapMessageChurn)->Arg(4)->Arg(64);
-
-// Arena scratch: the token window's merge staging — allocate a run, fill,
-// reset. Steady-state this never touches the heap.
-void BM_ArenaScratchCycle(benchmark::State& state) {
-  mem::Arena arena;
-  const size_t n = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto* slots = static_cast<uint64_t*>(arena.Allocate(n * sizeof(uint64_t), alignof(uint64_t)));
-    for (size_t i = 0; i < n; ++i) {
-      slots[i] = i;
-    }
-    benchmark::DoNotOptimize(slots);
-    arena.Reset();
-  }
-}
-BENCHMARK(BM_ArenaScratchCycle)->Arg(64)->Arg(512);
 
 // Stability advance: every member reports its delivered vector, then the
 // tracker computes the stable floor and prunes. This is the ack-gossip path
@@ -379,16 +341,6 @@ void BM_LockManagerReleaseAllManyResources(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LockManagerReleaseAllManyResources)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_OccCommitCycle(benchmark::State& state) {
-  txn::OccManager occ;
-  for (auto _ : state) {
-    txn::TxnId t = occ.Begin();
-    occ.Write(t, "x", 1.0);
-    benchmark::DoNotOptimize(occ.Commit(t));
-  }
-}
-BENCHMARK(BM_OccCommitCycle);
 
 }  // namespace
 

@@ -22,11 +22,10 @@
 // pressure-signal misbehavior fails the seed. --policy picks the overload
 // policy (default throttle).
 //
-// --batch N enables sender-side batching (GroupConfig::batching = N) plus
-// delta-encoded timestamps, and has each workload tick issue N back-to-back
-// sends so batches actually form — exercising batch framing,
-// flush-on-view-change, the batch-aware delivery gate, and delta
-// reconstruction under the full fault schedule.
+// --batch N enables sender-side batching (GroupConfig::batching = N), and
+// has each workload tick issue N back-to-back sends so batches actually
+// form — exercising batch framing, flush-on-view-change and the batch-aware
+// delivery gate under the full fault schedule.
 //
 // --trace turns on pipeline observability (GroupConfig::observability plus
 // the simulator's span recorder): every run reports per-layer hold counts,
@@ -87,7 +86,6 @@ struct RunResult {
   uint64_t views = 0;
   uint64_t rejoins = 0;
   double max_rejoin_ms = 0.0;  // recover start -> view install with new id
-  uint64_t delta_mismatches = 0;  // decode != full vt; must stay 0
   fault::OracleReport report;
   // --trace only: span/hold totals and, on violation, the offending
   // message's rendered timeline (built before the simulator is torn down).
@@ -158,7 +156,6 @@ RunResult RunOneSeed(uint64_t seed, const RunOptions& opt) {
   cfg.group.causal_buffer = opt.buffer;
   if (opt.batch > 1) {
     cfg.group.batching = opt.batch;
-    cfg.group.delta_timestamps = true;  // the batched wire path, complete
     cfg.workload_burst = opt.batch;
   }
   if (opt.overload) {
@@ -215,9 +212,6 @@ RunResult RunOneSeed(uint64_t seed, const RunOptions& opt) {
         result.max_rejoin_ms = ms;
       }
     }
-  }
-  for (size_t slot = 0; slot < opt.slots; ++slot) {
-    result.delta_mismatches += rig.MemberOfSlot(slot).stats().delta_decode_mismatches;
   }
   result.report = fault::InvariantOracle().Audit(rig);
   if (opt.trace) {
@@ -353,12 +347,6 @@ int main(int argc, char** argv) {
   for (uint64_t seed = opt.start; seed < opt.start + opt.seeds; ++seed) {
     const RunResult result = RunOneSeed(seed, opt);
     bool seed_ok = result.report.ok();
-    if (result.delta_mismatches > 0) {
-      seed_ok = false;
-      std::printf("seed %" PRIu64 ": DELTA DECODE MISMATCH x%" PRIu64
-                  " (reconstructed vt != wire vt)\n",
-                  seed, result.delta_mismatches);
-    }
     total_violations += result.report.violations.size();
     total_deliveries += result.deliveries;
     total_rejoins += result.rejoins;

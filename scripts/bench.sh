@@ -60,8 +60,8 @@ fi
 
 # Recording identity, stamped into the JSON context alongside the binaries'
 # own repro_build_type: the commit the numbers came from, and the bench
-# configuration knobs (batch/delta/buffer — "sweep" means the suite varies
-# the knob itself; override via BENCH_BATCH/BENCH_DELTA/BENCH_BUFFER when
+# configuration knobs (batch/buffer — "sweep" means the suite varies the
+# knob itself; override via BENCH_BATCH/BENCH_BUFFER when
 # recording a pinned-config run). bench_compare.py refuses to diff files
 # whose configs differ — cross-config deltas are configuration changes, not
 # regressions.
@@ -69,7 +69,7 @@ GIT_SHA="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 if ! git diff --quiet HEAD 2>/dev/null; then
   GIT_SHA="${GIT_SHA}-dirty"
 fi
-BENCH_CONFIG="batch=${BENCH_BATCH:-sweep};delta=${BENCH_DELTA:-sweep};buffer=${BENCH_BUFFER:-full}"
+BENCH_CONFIG="batch=${BENCH_BATCH:-sweep};buffer=${BENCH_BUFFER:-full}"
 
 # Two tracked files: the micro suite's JSON with E18's benchmark entries
 # appended (context comes from the micro run; both were just verified to be

@@ -29,7 +29,7 @@ release numbers (or debug against debug) is meaningless, so anything except
 release/release is rejected.
 
 Files recorded by scripts/bench.sh also stamp "repro_bench_config"
-(batch/delta/buffer knobs) and "repro_git_sha". Two files with different
+(batch/buffer knobs) and "repro_git_sha". Two files with different
 configs are never compared — a cross-config delta measures the config, not
 the code. Files recorded before the stamp existed carry no config and are
 tolerated with a warning.
@@ -82,8 +82,7 @@ def check_configs(baseline_path, base_ctx, current_path, cur_ctx):
             "bench_compare: refusing cross-config comparison:\n"
             f"  {baseline_path}: {base_cfg}\n"
             f"  {current_path}: {cur_cfg}\n"
-            "re-record one side with matching BENCH_BATCH/BENCH_DELTA/"
-            "BENCH_BUFFER"
+            "re-record one side with matching BENCH_BATCH/BENCH_BUFFER"
         )
     base_sha = base_ctx.get("repro_git_sha", "unknown")
     cur_sha = cur_ctx.get("repro_git_sha", "unknown")

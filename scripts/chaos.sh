@@ -8,7 +8,7 @@
 # hybrid, and the constant-metadata overlay path, which forces a
 # causal-only workload — kTotal is outside its contract — and ignores the
 # batching knob), once per sender-batching level (unbatched and batch=8, which
-# also turns on delta timestamps and a burst workload), and once per trace
+# also turns on a burst workload), and once per trace
 # mode (observability off and --trace) so the record-only instrumentation
 # faces every buffer x batch combination under the same fault schedules.
 # A final leg runs the hidden-channel probe (--probe), whose per-seed

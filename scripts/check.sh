@@ -36,6 +36,15 @@ BUILD_DIR="${BUILD_DIR}" SEEDS="${SOAK_SEEDS:-2}" ./scripts/soak.sh
 # identical to what the sanitized ctest suite already covered at small N.
 ./scripts/scale_smoke.sh
 
+# Golden stdout digests of the slow five benches (bench/CMakeLists.txt's
+# GOLDEN_SLOW); every other golden binary is a ctest test and already ran
+# above under the sanitizers. These run against the default build like the
+# scale smoke: under ASan they would take hours.
+SLOW_BENCHES=(bench_e5_buffering_scale bench_e12_overhead bench_e16_strategies
+  bench_e17_attribution bench_e21_scale)
+cmake --build build -j "$(nproc)" --target "${SLOW_BENCHES[@]}"
+./scripts/golden.sh --build build "${SLOW_BENCHES[@]/#/bench/}"
+
 # Observability smoke: the traced fuzzer must stay deterministic — two
 # identical --trace invocations produce byte-identical output (span and hold
 # totals included) — and the reduced sweep must come back clean.

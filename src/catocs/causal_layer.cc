@@ -7,7 +7,6 @@
 #include "src/catocs/fifo_layer.h"
 #include "src/catocs/stability_layer.h"
 #include "src/catocs/total_order_layer.h"
-#include "src/catocs/wire_codec.h"
 
 namespace catocs {
 
@@ -17,29 +16,10 @@ void CausalLayer::OnSend(GroupData& data) {
   if (core_->overlay_mode()) {
     // Constant-metadata wire form: the frame carries only the sender's view
     // id (kOverlayHeaderBytes); causal order comes from FIFO tree links, not
-    // from shipping a clock, so delta encoding is moot here. The clock is
-    // still stamped below as internal bookkeeping — it backs the delivery
-    // gate and the invariant oracles but is never charged on the wire.
+    // from shipping a clock. The clock is still stamped below as internal
+    // bookkeeping — it backs the delivery gate and the invariant oracles but
+    // is never charged on the wire.
     data.set_overlay_view(core_->view.id);
-    data.set_vt(std::move(vt));
-    core_->RecordSpan(data.id(), sim::SpanEvent::kStamp, name());
-    return;
-  }
-  if (core_->config.delta_timestamps) {
-    // Wire form: only the entries changed since our previous frame (full
-    // clock on keyframes). The receiver reconstructs against its per-sender
-    // reference; see DecodeDeltaFrame.
-    WireVt wire = EncodeVtDelta(encoder_valid_ ? &encoder_prev_ : nullptr, vt);
-    const size_t fanout = core_->view.members.size() - 1;
-    core_->stats.delta_header_bytes_saved += (vt.SizeBytes() - wire.SizeBytes() + 1) * fanout;
-    if (wire.keyframe) {
-      ++core_->stats.delta_keyframes_sent;
-    } else {
-      ++core_->stats.delta_frames_sent;
-    }
-    data.set_wire_vt(std::move(wire));
-    encoder_prev_ = vt;
-    encoder_valid_ = true;
   }
   data.set_vt(std::move(vt));
   core_->RecordSpan(data.id(), sim::SpanEvent::kStamp, name());
@@ -61,9 +41,6 @@ bool CausalLayer::OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& 
       for (const auto& predecessor : entry->piggyback()) {
         Ingest(predecessor);
       }
-      if (entry->wire_vt() != nullptr) {
-        DecodeDeltaFrame(*entry);
-      }
       // One ack observation per frame, not per constituent: acks are
       // monotone along the sender's stream, so the last vector subsumes the
       // 31 merges the per-constituent path would have done.
@@ -82,55 +59,11 @@ bool CausalLayer::OnReceive(MemberId src, uint32_t port, const net::PayloadPtr& 
   for (const auto& predecessor : shared->piggyback()) {
     Ingest(predecessor);
   }
-  if (shared->wire_vt() != nullptr) {
-    DecodeDeltaFrame(*shared);
-  }
   Ingest(shared, /*observe_acks=*/true, src);
   return true;
 }
 
-void CausalLayer::DecodeDeltaFrame(const GroupData& data) {
-  const WireVt& wire = *data.wire_vt();
-  const MemberId sender = data.id().sender;
-  auto it = std::lower_bound(delta_refs_.begin(), delta_refs_.end(), sender,
-                             [](const auto& entry, MemberId m) { return entry.first < m; });
-  const bool present = it != delta_refs_.end() && it->first == sender;
-  if (wire.keyframe) {
-    // A keyframe (re)establishes the reference unconditionally — including
-    // a sender we have never heard from, e.g. one that rejoined under a
-    // fresh id after a crash.
-    DeltaRef ref{DecodeVtDelta(VectorClock{}, wire), data.id().seq};
-    if (ref.clock != data.vt()) {
-      ++core_->stats.delta_decode_mismatches;
-    }
-    if (present) {
-      it->second = std::move(ref);
-    } else {
-      delta_refs_.emplace(it, sender, std::move(ref));
-    }
-    return;
-  }
-  // Delta frames advance the reference strictly frame-by-frame. The
-  // transport's per-peer FIFO channel delivers them in encode order; a
-  // frame reaching us out of band (flush redistribution) is simply not
-  // decoded — its full clock travels with it regardless.
-  if (!present || it->second.seq + 1 != data.id().seq) {
-    return;
-  }
-  ApplyVtDelta(it->second.clock, wire);
-  it->second.seq = data.id().seq;
-  if (it->second.clock != data.vt()) {
-    ++core_->stats.delta_decode_mismatches;
-  }
-}
-
 void CausalLayer::OnViewChange(const View& view) {
-  if (core_->config.delta_timestamps) {
-    // Resynchronize the codec across the membership change: our next frame
-    // is a keyframe, and stale references must not decode post-view deltas.
-    encoder_valid_ = false;
-    delta_refs_.clear();
-  }
   if (!pre_view_.empty()) {
     // The stashed frames' view just installed here (the membership layer
     // already ingested the redistribution, so any causal gap between the
@@ -211,14 +144,6 @@ void CausalLayer::Ingest(const GroupDataPtr& data, bool observe_acks, MemberId f
 }
 
 bool CausalLayer::CausallyDeliverable(const GroupData& data) const {
-  // Delta-stamped frames answer the gate in O(changed entries) rather than
-  // O(N) — see CausallyDeliverableDelta for why skipping unchanged entries
-  // is exact.
-  const WireVt* wire = data.wire_vt();
-  if (wire != nullptr && !wire->keyframe) {
-    ++core_->stats.delta_fast_path_hits;
-    return CausallyDeliverableDelta(*wire, data.id().sender, data.id().seq, vd_);
-  }
   return catocs::CausallyDeliverable(data.vt(), data.id().sender, vd_);
 }
 

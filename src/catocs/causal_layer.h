@@ -8,8 +8,6 @@
 #include <cstdint>
 #include <deque>
 #include <set>
-#include <utility>
-#include <vector>
 
 #include "src/mem/pool.h"
 
@@ -69,9 +67,8 @@ class CausalLayer : public OrderingLayer {
   // admitting non-durability.
   void DropFailedSenderBacklog(const ViewInstall& install);
 
-  // View change: both delta-codec ends resynchronize on a keyframe (the
-  // encoder's next frame carries the full clock; decoder references reset),
-  // and the overlay path re-ingests frames stashed for the new view.
+  // View change: the overlay path re-ingests frames stashed for the new
+  // view.
   void OnViewChange(const View& view) override;
 
  private:
@@ -81,19 +78,8 @@ class CausalLayer : public OrderingLayer {
     MemberId from = 0;  // overlay arrival link; see Ingest
   };
 
-  // Receiver half of the delta codec: the last reconstructed clock per
-  // sender, advanced strictly along each sender's frame stream (the
-  // transport's per-peer FIFO order).
-  struct DeltaRef {
-    VectorClock clock;
-    uint64_t seq = 0;  // seq of the frame `clock` was decoded from
-  };
-
   bool CausallyDeliverable(const GroupData& data) const;
   void CausalDeliver(const GroupDataPtr& data, sim::TimePoint arrived_at, MemberId from = 0);
-  // Decodes a delta-stamped frame against the sender's reference and
-  // cross-checks the reconstruction (counted in stats on mismatch).
-  void DecodeDeltaFrame(const GroupData& data);
   // Overlay forward-on-delivery: push the just-delivered frame onto every
   // tree link except the one it arrived on, in causal delivery order — the
   // per-link FIFO discipline the constant-metadata path's correctness rests
@@ -111,15 +97,6 @@ class CausalLayer : public OrderingLayer {
   // per out-of-order arrival, and tree nodes are exactly the churn the
   // size-class pool exists for.
   std::set<MessageId, std::less<MessageId>, mem::PoolAllocator<MessageId>> pending_ids_;
-
-  // Sender half of the delta codec (config.delta_timestamps): the clock
-  // stamped on our previous frame; invalid forces the next frame to be a
-  // keyframe (stream start, view change).
-  VectorClock encoder_prev_;
-  bool encoder_valid_ = false;
-  // Sorted by member. Flat: one reference per live sender, looked up on
-  // every delta-stamped frame — binary search over a contiguous vector.
-  std::vector<std::pair<MemberId, DeltaRef>> delta_refs_;
 };
 
 }  // namespace catocs

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <sstream>
 
-#include "src/catocs/wire_codec.h"
 #include "src/mem/pool.h"
 
 namespace catocs {
@@ -24,6 +23,25 @@ std::string MessageId::ToString() const {
   std::ostringstream out;
   out << sender << "#" << seq;
   return out.str();
+}
+
+size_t DeltaEntryCount(const VectorClock* prev, const VectorClock& cur) {
+  if (prev == nullptr) {
+    return cur.entry_count();
+  }
+  const VectorClock::Entries& a = prev->entries();
+  const VectorClock::Entries& b = cur.entries();
+  size_t changed = 0;
+  size_t i = 0;
+  for (const ClockEntry& entry : b) {
+    while (i < a.size() && a[i].member < entry.member) {
+      ++i;  // clocks never shrink, but stay robust to arbitrary inputs
+    }
+    if (i >= a.size() || a[i].member != entry.member || a[i].value != entry.value) {
+      ++changed;
+    }
+  }
+  return changed;
 }
 
 GroupDataPtr StripPiggyback(const GroupDataPtr& data) {
@@ -50,7 +68,7 @@ size_t GroupData::SizeBytes() const {
 std::vector<net::HeaderSection> GroupData::HeaderSections() const {
   // Base frame: group(4) + sender(4) + seq(8) + mode(1). The causal section
   // is whichever wire form the frame travels under: the constant overlay
-  // header, the delta/keyframe encoding, or the full clock.
+  // header or the full clock.
   return {{"frame", 17}, {"causal", CausalHeaderBytes()}, {"stability", acks_.SizeBytes()}};
 }
 
@@ -58,7 +76,7 @@ size_t GroupData::CausalHeaderBytes() const {
   if (overlay_view_ != 0) {
     return kOverlayHeaderBytes;
   }
-  return wire_vt_.has_value() ? wire_vt_->SizeBytes() : vt_.SizeBytes();
+  return vt_.SizeBytes();
 }
 
 size_t GroupData::HeaderBytes() const {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,19 +40,19 @@ struct MessageId {
   std::string ToString() const;
 };
 
-// Delta-encoded vector timestamp as it would travel on the wire: only the
-// entries that changed since the sender's previous frame, plus a flag byte.
-// A keyframe carries the full clock and resets the receiver's per-sender
-// reference (first frame from a sender, and the first frame after a view
-// change). Decoding is wire_codec.h's job; the struct lives here because
-// GroupData carries it.
-struct WireVt {
-  bool keyframe = false;
-  VectorClock::Entries entries;  // changed (member, value) pairs, sorted
+// The overlay path's constant-size causal header (DESIGN.md §11), charged
+// instead of the clock. A frame disseminated over the spanning overlay
+// carries no clock at all — causal order falls out of FIFO links plus
+// forward-in-delivery-order — only the sender's view id (8) and a flag byte
+// (1), so the causal header is O(1) in both group size and delivery history.
+// The clock the simulator still stamps internally is bookkeeping for the
+// oracles and is never transmitted.
+constexpr size_t kOverlayHeaderBytes = 9;
 
-  // Flag byte + one (member id, counter) pair per carried entry.
-  size_t SizeBytes() const { return 1 + entries.size() * VectorClock::kEntryBytes; }
-};
+// Number of entries in `cur` that differ from `prev` (null prev = all of
+// them): the per-constituent clock charge of a GroupBatch frame. Two-pointer
+// scan over the sorted entry vectors.
+size_t DeltaEntryCount(const VectorClock* prev, const VectorClock& cur);
 
 // Application data wrapped with CATOCS ordering metadata.
 class GroupData : public net::Payload {
@@ -76,7 +75,7 @@ class GroupData : public net::Payload {
 
   // Ordering metadata charged as header bytes: the sum of HeaderSections().
   size_t HeaderBytes() const;
-  // Just the causal section: overlay header, wire delta, or full clock.
+  // Just the causal section: overlay header or full clock.
   size_t CausalHeaderBytes() const;
 
   GroupId group() const { return group_; }
@@ -103,20 +102,12 @@ class GroupData : public net::Payload {
   }
   const std::vector<std::shared_ptr<const GroupData>>& piggyback() const { return piggyback_; }
 
-  // Delta-encoded wire form of the vector timestamp (GroupConfig::
-  // delta_timestamps). When set, the causal header is charged at the delta's
-  // size instead of the full clock's, and receivers reconstruct the full
-  // clock against their per-sender reference (causal_layer.cc). Null in the
-  // default configuration.
-  void set_wire_vt(WireVt wire) { wire_vt_.emplace(std::move(wire)); }
-  const WireVt* wire_vt() const { return wire_vt_.has_value() ? &*wire_vt_ : nullptr; }
-
   // Overlay dissemination (CausalBufferKind::kOverlay): the frame travels
   // over the spanning overlay and its causal header is the constant-size
   // overlay form — the view id the sender stamped it in — instead of any
-  // clock (wire_codec.h's kOverlayHeaderBytes). View ids start at 1, so 0
-  // doubles as "not an overlay frame". The internal vt_ is still stamped for
-  // the invariant oracles but is never charged or consulted on the wire.
+  // clock (kOverlayHeaderBytes). View ids start at 1, so 0 doubles as "not
+  // an overlay frame". The internal vt_ is still stamped for the invariant
+  // oracles but is never charged or consulted on the wire.
   void set_overlay_view(uint64_t view_id) { overlay_view_ = view_id; }
   bool is_overlay() const { return overlay_view_ != 0; }
   uint64_t overlay_view() const { return overlay_view_; }
@@ -130,7 +121,6 @@ class GroupData : public net::Payload {
   sim::TimePoint sent_at_;
   VectorClock acks_;
   std::vector<std::shared_ptr<const GroupData>> piggyback_;
-  std::optional<WireVt> wire_vt_;
   uint64_t overlay_view_ = 0;  // 0 = not an overlay frame
 };
 

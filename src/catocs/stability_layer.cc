@@ -52,7 +52,7 @@ void StabilityLayer::OnSend(GroupData& data) {
   // Overlay mode: no piggybacked ack vectors — a per-message delivered-vector
   // is exactly the O(N) header the constant-metadata path forbids. Stability
   // evidence travels on the tree floor frames instead.
-  if (core_->config.piggyback_acks && !core_->overlay_mode()) {
+  if (!core_->overlay_mode()) {
     data.set_acks(core_->causal->delivered());
   }
   if (core_->config.piggyback_causal) {

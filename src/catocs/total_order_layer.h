@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/catocs/layer.h"
-#include "src/mem/arena.h"
 
 namespace catocs {
 
@@ -79,11 +78,13 @@ class TotalOrderLayer : public OrderingLayer {
   // nothing but cache misses.
   static constexpr uint64_t kTokenAssignmentWindow = 512;
   using SeqAssignment = std::pair<uint64_t, MessageId>;
-  void MergeRecentAssignments(SeqAssignment* fresh, size_t n);
+  void MergeRecentAssignments();
   std::vector<SeqAssignment> recent_assignments_;  // sorted by seq ascending
-  // Scratch for the merge (and for staging accepted assignments); reset at
-  // the end of every ApplyAssignments, so lifetimes never escape the call.
-  mem::Arena scratch_;
+  // Scratch reused across calls: assignments accepted by one
+  // ApplyAssignments call, and the merge output. Both are consumed before
+  // that call delivers, so re-entrant calls from delivery never see them.
+  std::vector<SeqAssignment> fresh_;
+  std::vector<SeqAssignment> merged_;
   // Token mode: causally delivered kTotal messages not yet sequenced, in
   // local causal delivery order (a linear extension of happens-before).
   std::deque<MessageId> unassigned_total_;

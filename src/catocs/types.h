@@ -93,9 +93,9 @@ struct SendResult {
 struct GroupConfig {
   GroupId group_id = 1;
 
-  // Stability: piggyback the sender's delivered-vector on every data message,
-  // and/or gossip it periodically (Zero disables gossip).
-  bool piggyback_acks = true;
+  // Stability: every data message piggybacks the sender's delivered-vector
+  // (except on the overlay path); this also gossips it periodically (Zero
+  // disables gossip).
   sim::Duration ack_gossip_interval = sim::Duration::Millis(50);
 
   // Footnote-4 causal variant: attach unstable causal predecessors to each
@@ -103,8 +103,6 @@ struct GroupConfig {
   bool piggyback_causal = false;
 
   TotalOrderMode total_order_mode = TotalOrderMode::kSequencer;
-  // Delay before the token is passed on (models token processing).
-  sim::Duration token_pass_delay = sim::Duration::Micros(200);
 
   // How often (in simulated time) a member recomputes stability and prunes
   // its retention buffer. Pruning walks the member matrix, so it is
@@ -123,12 +121,6 @@ struct GroupConfig {
   // flush blocks the group (a batch never spans a view change).
   uint32_t batching = 1;
   sim::Duration batch_flush_delay = sim::Duration::Millis(1);
-
-  // Delta-encode vector timestamps on the wire: each data frame carries only
-  // the clock entries changed since the sender's previous frame (keyframes
-  // at stream start and after view changes), reconstructed at the receiver
-  // against a per-sender reference clock (wire_codec.h). Off by default.
-  bool delta_timestamps = false;
 
   // Pipeline observability: when set, each ordering layer reports
   // enter/exit + hold-reason into the member's PipelineStats and emits
@@ -247,17 +239,6 @@ struct GroupStats {
   // --- Raw-speed layer ------------------------------------------------------
   uint64_t batches_sent = 0;          // GroupBatch frames broadcast
   uint64_t batched_data_msgs = 0;     // constituents carried in those frames
-  uint64_t delta_frames_sent = 0;     // delta-encoded (non-keyframe) frames
-  uint64_t delta_keyframes_sent = 0;  // full-clock frames (stream start/view change)
-  // Header bytes the delta encoding avoided vs. shipping the full clock,
-  // summed over destinations (the honest counterpart of ordering_header_bytes).
-  uint64_t delta_header_bytes_saved = 0;
-  // Receiver-side: frames whose reconstructed clock failed to match (must
-  // stay 0 — cross-checked by tests and the chaos oracle's delivery audit).
-  uint64_t delta_decode_mismatches = 0;
-  // Deliverability checks answered by the O(changed-entries) fast path
-  // instead of a full clock scan.
-  uint64_t delta_fast_path_hits = 0;
 
   // --- Bounded resources & flow control ------------------------------------
   uint64_t sends_backpressured = 0;  // refused with kBackpressured

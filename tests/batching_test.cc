@@ -1,7 +1,6 @@
-// Sender-side batching and delta-encoded timestamps (the raw-speed layer):
-// batching defers only the broadcast — constituents keep their identity and
-// delivery obligations — and the delta codec must reconstruct every clock
-// exactly, across view changes and fresh-id rejoins included.
+// Sender-side batching (the raw-speed layer): batching defers only the
+// broadcast — constituents keep their identity and delivery obligations,
+// across view changes and fresh-id rejoins included.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "src/catocs/group.h"
 #include "src/catocs/pipeline_stats.h"
-#include "src/catocs/wire_codec.h"
 #include "src/sim/simulator.h"
 
 namespace catocs {
@@ -21,11 +19,10 @@ namespace {
 
 net::PayloadPtr Blob(size_t size = 32) { return std::make_shared<net::BlobPayload>("b", size); }
 
-FabricConfig BatchedConfig(uint32_t batching, bool delta = false) {
+FabricConfig BatchedConfig(uint32_t batching) {
   FabricConfig cfg;
   cfg.num_members = 4;
   cfg.group.batching = batching;
-  cfg.group.delta_timestamps = delta;
   return cfg;
 }
 
@@ -78,9 +75,9 @@ TEST(BatchingTest, BatchingReducesHeaderBytesForSameDeliveries) {
   // Every member sends bursts, so clocks carry all four entries: unbatched
   // frames each pay the full 4-entry vt, while within a batch only the
   // first constituent does (the rest delta against it).
-  auto run = [](uint32_t batching, bool delta) {
+  auto run = [](uint32_t batching) {
     sim::Simulator s(43);
-    GroupFabric fabric(&s, BatchedConfig(batching, delta));
+    GroupFabric fabric(&s, BatchedConfig(batching));
     fabric.StartAll();
     for (int round = 0; round < 3; ++round) {
       for (int m = 0; m < 4; ++m) {
@@ -98,8 +95,8 @@ TEST(BatchingTest, BatchingReducesHeaderBytesForSameDeliveries) {
     }
     return std::pair<uint64_t, uint64_t>{header_bytes, fabric.member(3).stats().app_delivered};
   };
-  const auto [unbatched_bytes, unbatched_delivered] = run(1, false);
-  const auto [batched_bytes, batched_delivered] = run(8, true);
+  const auto [unbatched_bytes, unbatched_delivered] = run(1);
+  const auto [batched_bytes, batched_delivered] = run(8);
   EXPECT_EQ(batched_delivered, unbatched_delivered) << "batching must not change what arrives";
   EXPECT_LT(batched_bytes, unbatched_bytes / 2)
       << "one delta-encoded frame per 8 sends must cost far less than 8 full headers";
@@ -144,44 +141,11 @@ TEST(BatchingTest, BatchNeverSpansViewChange) {
   }
 }
 
-TEST(BatchingTest, DeltaTimestampsReconstructExactly) {
-  sim::Simulator s(45);
-  FabricConfig cfg = BatchedConfig(1, /*delta=*/true);
-  GroupFabric fabric(&s, cfg);
-  fabric.StartAll();
-  // Interleaved senders so clocks pick up entries from everyone; each turn
-  // sends a back-to-back pair, whose second frame deltas only the sender's
-  // own entry — the case the encoding exists for.
-  for (int k = 0; k < 12; ++k) {
-    s.ScheduleAfter(sim::Duration::Millis(10 + 10 * k), [&fabric, k] {
-      fabric.member(k % 4).CausalSend(Blob());
-      fabric.member(k % 4).CausalSend(Blob());
-    });
-  }
-  s.RunFor(sim::Duration::Seconds(2));
-
-  for (size_t i = 0; i < fabric.size(); ++i) {
-    const auto& stats = fabric.member(i).stats();
-    EXPECT_EQ(stats.delta_decode_mismatches, 0u) << "member " << i;
-    EXPECT_EQ(stats.app_delivered, 24u) << "member " << i;
-    EXPECT_EQ(stats.delta_keyframes_sent, 1u) << "member " << i << ": stream-start keyframe only";
-    EXPECT_GT(stats.delta_frames_sent, 0u) << "member " << i;
-    EXPECT_GT(stats.delta_header_bytes_saved, 0u) << "member " << i;
-  }
-  // The fast path answered deliverability checks somewhere in the run.
-  uint64_t fast_hits = 0;
-  for (size_t i = 0; i < fabric.size(); ++i) {
-    fast_hits += fabric.member(i).stats().delta_fast_path_hits;
-  }
-  EXPECT_GT(fast_hits, 0u);
-}
-
-// A crashed member rejoins under a fresh id; its first frame is naturally a
-// keyframe (no prior stream), and survivors' references for the dead id are
-// dropped at the view change — reconstruction must stay exact throughout.
-TEST(BatchingTest, DeltaReconstructionSurvivesFreshIdRejoin) {
+// A crashed member rejoins under a fresh id; the batched sends it makes in
+// the new view must reach every survivor.
+TEST(BatchingTest, FreshIdRejoinerBatchedSendsReachSurvivors) {
   sim::Simulator s(46);
-  FabricConfig cfg = BatchedConfig(2, /*delta=*/true);
+  FabricConfig cfg = BatchedConfig(2);
   cfg.num_members = 3;
   cfg.group.enable_membership = true;
   cfg.group.heartbeat_interval = sim::Duration::Millis(20);
@@ -221,9 +185,7 @@ TEST(BatchingTest, DeltaReconstructionSurvivesFreshIdRejoin) {
   s.RunFor(sim::Duration::Seconds(4));
 
   EXPECT_EQ(joiner.view().members, (std::vector<MemberId>{1, 2, 9}));
-  EXPECT_EQ(joiner.stats().delta_decode_mismatches, 0u);
   for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(fabric.member(i).stats().delta_decode_mismatches, 0u) << "member " << i;
     EXPECT_EQ(delivered_from_9[fabric.member(i).self()], 4u) << "member " << i;
   }
 }
@@ -250,11 +212,10 @@ TEST(BatchingTest, PiggybackVariantComposesWithBatching) {
 
 // Every batched constituent carries its own full lifecycle span — send,
 // batch hold (enter -> deliver with the flush size), causal delivery — not
-// just the frame's first message. Delta timestamps ride along to cover the
-// full raw-speed wire path.
+// just the frame's first message.
 TEST(BatchingTest, BatchedConstituentsEachCarryFullLifecycleSpans) {
   sim::Simulator s(49);
-  FabricConfig cfg = BatchedConfig(4, /*delta=*/true);
+  FabricConfig cfg = BatchedConfig(4);
   cfg.group.observability = true;
   s.spans().set_enabled(true);
   GroupFabric fabric(&s, cfg);
@@ -297,7 +258,7 @@ TEST(BatchingTest, BatchedConstituentsEachCarryFullLifecycleSpans) {
 // batch-hold span with the actual (smaller) flush size.
 TEST(BatchingTest, PartialBatchFlushSpansRecordActualSize) {
   sim::Simulator s(50);
-  FabricConfig cfg = BatchedConfig(4, /*delta=*/true);
+  FabricConfig cfg = BatchedConfig(4);
   cfg.group.observability = true;
   s.spans().set_enabled(true);
   GroupFabric fabric(&s, cfg);
@@ -321,8 +282,8 @@ TEST(BatchingTest, PartialBatchFlushSpansRecordActualSize) {
   }
 }
 
-// The sanity anchor for byte-identity: batching=1 with delta off IS the
-// pre-raw-speed stack — same stats, same deliveries, same header accounting
+// The sanity anchor for byte-identity: batching=1 IS the pre-raw-speed
+// stack — same stats, same deliveries, same header accounting
 // as a default-constructed config (this is also enforced end-to-end by
 // diffing the bench outputs).
 TEST(BatchingTest, DefaultConfigBypassesBatcherEntirely) {
@@ -338,8 +299,6 @@ TEST(BatchingTest, DefaultConfigBypassesBatcherEntirely) {
   const auto& stats = fabric.member(0).stats();
   EXPECT_EQ(stats.batches_sent, 0u);
   EXPECT_EQ(stats.batched_data_msgs, 0u);
-  EXPECT_EQ(stats.delta_frames_sent, 0u);
-  EXPECT_EQ(stats.delta_keyframes_sent, 0u);
   EXPECT_EQ(fabric.member(2).stats().app_delivered, 4u);
 }
 

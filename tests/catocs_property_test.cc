@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -28,6 +30,14 @@ struct HostileParams {
   TotalOrderMode total_mode;
   uint64_t seed;
 };
+
+// Test IDs such as n6_drop10_dup10_piggyback_seq_seed5 (rates in percent);
+// without this gtest prints the struct's raw bytes, padding included.
+void PrintTo(const HostileParams& p, std::ostream* os) {
+  *os << "n" << p.members << "_drop" << std::lround(p.drop * 100) << "_dup"
+      << std::lround(p.duplicate * 100) << (p.piggyback ? "_piggyback" : "")
+      << (p.total_mode == TotalOrderMode::kSequencer ? "_seq" : "_token") << "_seed" << p.seed;
+}
 
 class HostileNetworkTest : public ::testing::TestWithParam<HostileParams> {};
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -122,6 +124,13 @@ struct PropertyParams {
   TotalOrderMode total_mode;
   uint64_t seed;
 };
+
+// Test IDs such as n3_drop0_causal_seq_seed101 (drop in percent); without
+// this gtest prints the struct's raw bytes, padding included.
+void PrintTo(const PropertyParams& p, std::ostream* os) {
+  *os << "n" << p.members << "_drop" << std::lround(p.drop * 100) << "_" << ToString(p.mode)
+      << (p.total_mode == TotalOrderMode::kSequencer ? "_seq" : "_token") << "_seed" << p.seed;
+}
 
 class OrderingPropertyTest : public ::testing::TestWithParam<PropertyParams> {};
 

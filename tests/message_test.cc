@@ -170,33 +170,6 @@ TEST(MessageSizeTest, StripPiggybackOnBatchConstituents) {
   EXPECT_EQ(stripped->HeaderBytes(), entry->HeaderBytes());
 }
 
-TEST(MessageSizeTest, StrippedCopiesDropTheWireDelta) {
-  // A stripped (retention/retransmission) copy must not carry the delta
-  // stamp: it can reach receivers out of band, where no reference clock is
-  // valid — the full vt travels with it and the full-scan gate applies.
-  auto entry = BatchEntry(2, {{1, 2}}, 40);
-  entry->set_wire_vt(WireVt{false, {{1, 2}}});
-  auto carrying = std::make_shared<GroupData>(*entry);
-  carrying->set_piggyback({BatchEntry(1, {{1, 1}}, 30)});
-  ASSERT_NE(carrying->wire_vt(), nullptr);
-  GroupDataPtr stripped = StripPiggyback(carrying);
-  EXPECT_EQ(stripped->wire_vt(), nullptr);
-  EXPECT_EQ(stripped->vt(), entry->vt());
-}
-
-TEST(MessageSizeTest, GroupDataHeaderUsesWireDeltaWhenPresent) {
-  std::vector<std::pair<MemberId, uint64_t>> clock;
-  for (MemberId m = 1; m <= 8; ++m) {
-    clock.emplace_back(m, m);
-  }
-  auto full = BatchEntry(5, clock, 10);
-  auto delta = BatchEntry(5, clock, 10);
-  delta->set_wire_vt(WireVt{false, {{1, 5}}});
-  EXPECT_EQ(full->HeaderBytes(), 17u + 8 * VectorClock::kEntryBytes);
-  EXPECT_EQ(delta->HeaderBytes(), 17u + (1 + 1 * VectorClock::kEntryBytes));
-  EXPECT_LT(delta->HeaderBytes(), full->HeaderBytes());
-}
-
 TEST(MessageDescribeTest, HumanReadableForms) {
   EXPECT_EQ((MessageId{3, 7}).ToString(), "3#7");
   auto data = MakeData(3, 7, 1, 0, 10);

@@ -1,9 +1,7 @@
 // Tests for the constant-metadata overlay path (DESIGN.md §11): the
 // deterministic spanning tree, the tree-shaped stability strategy, the
 // linear causal checker, end-to-end dissemination with O(1) control bytes,
-// and churn (crash + rejoin) under the invariant oracle. Also the
-// keyframe-resync regression: a view change must force the delta codec's
-// next frame to be a keyframe.
+// and churn (crash + rejoin) under the invariant oracle.
 
 #include <gtest/gtest.h>
 
@@ -358,38 +356,6 @@ TEST(OverlayChurnTest, MemberFailureRewiresSubtreeOntoSurvivors) {
   // Post-view-change sends still reach every survivor.
   std::vector<MessageId> at_last = fabric.DeliveryOrderAt(12);
   EXPECT_FALSE(at_last.empty());
-}
-
-// --- keyframe resync regression ----------------------------------------------
-
-TEST(DeltaCodecViewChangeTest, ViewChangeForcesKeyframeResync) {
-  // Regression: CausalLayer::OnViewChange was never invoked by the view
-  // install sequence, so the delta encoder kept emitting deltas across a
-  // membership change and receivers kept decoding against stale references.
-  sim::Simulator s(31);
-  FabricConfig cfg;
-  cfg.num_members = 4;
-  cfg.group.enable_membership = true;
-  cfg.group.delta_timestamps = true;
-  cfg.group.heartbeat_interval = sim::Duration::Millis(20);
-  cfg.group.failure_timeout = sim::Duration::Millis(120);
-  GroupFabric fabric(&s, cfg);
-  fabric.RecordDeliveries();
-  fabric.StartAll();
-  s.ScheduleAfter(sim::Duration::Millis(10), [&fabric] { fabric.member(0).CausalSend(Blob("a")); });
-  s.ScheduleAfter(sim::Duration::Millis(50), [&fabric] { fabric.member(0).CausalSend(Blob("b")); });
-  s.ScheduleAfter(sim::Duration::Millis(300), [&fabric] { fabric.CrashMember(3); });
-  s.ScheduleAfter(sim::Duration::Seconds(2), [&fabric] { fabric.member(0).CausalSend(Blob("c")); });
-  s.RunFor(sim::Duration::Seconds(3));
-  ASSERT_EQ(fabric.member(0).view().members.size(), 3u) << "view change did not happen";
-  const GroupStats& stats = fabric.member(0).stats();
-  EXPECT_EQ(stats.delta_keyframes_sent, 2u)
-      << "the first post-view-change frame must be a keyframe";
-  EXPECT_EQ(stats.delta_frames_sent, 1u);
-  // And the survivors decode it cleanly.
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(fabric.member(i).stats().delta_decode_mismatches, 0u) << "member " << i;
-  }
 }
 
 }  // namespace
