@@ -23,6 +23,8 @@
 # replays the coordinators' commit log against every surviving replica's
 # store, so a lost, phantom, or duplicated commit — or a txn that never
 # decides — fails the seed. Each seed runs twice and must match.
+# Every leg runs even when an earlier one fails; the script ends with one
+# ok/FAIL line per leg and exits nonzero naming each failing leg.
 # Reuses an existing build if one is configured.
 set -euo pipefail
 
@@ -43,6 +45,21 @@ if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
 fi
 cmake --build "${BUILD_DIR}" -j "$(nproc)" --target fuzz_chaos bench_e22_contention
 
+# Runs one leg (a binary under ${BUILD_DIR}/bench plus its arguments) and
+# records its outcome instead of stopping at the first failure.
+summary=()
+failed=()
+leg() {
+  local name="$*" binary="$1"
+  shift
+  if "${BUILD_DIR}/bench/${binary}" "$@"; then
+    summary+=("chaos: ok   ${name}")
+  else
+    summary+=("chaos: FAIL ${name}")
+    failed+=("${name}")
+  fi
+}
+
 for buffer in ${BUFFERS}; do
   for batch in ${BATCHES}; do
     for trace in ${TRACES}; do
@@ -50,7 +67,7 @@ for buffer in ${BUFFERS}; do
       if [[ "${trace}" == on ]]; then
         trace_flag=(--trace)
       fi
-      "${BUILD_DIR}/bench/fuzz_chaos" --seeds "${SEEDS}" --start "${START}" \
+      leg fuzz_chaos --seeds "${SEEDS}" --start "${START}" \
         --buffer "${buffer}" --batch "${batch}" "${trace_flag[@]}"
     done
   done
@@ -59,13 +76,13 @@ done
 # Hidden-channel probe under the same fault schedules: probe tokens are real
 # traffic (their own replay-verified trace hashes), and any recorder/oracle
 # hidden-miss disagreement fails the seed.
-"${BUILD_DIR}/bench/fuzz_chaos" --seeds "${SEEDS}" --start "${START}" --probe
+leg fuzz_chaos --seeds "${SEEDS}" --start "${START}" --probe
 
 # Overload sweep: bounded budget + send window against slow receivers,
 # overload bursts, and long partitions, once per buffer x overload policy.
 for buffer in ${BUFFERS}; do
   for policy in ${POLICIES}; do
-    "${BUILD_DIR}/bench/fuzz_chaos" --seeds "${SEEDS}" --start "${START}" \
+    leg fuzz_chaos --seeds "${SEEDS}" --start "${START}" \
       --buffer "${buffer}" --overload --policy "${policy}"
   done
 done
@@ -73,6 +90,13 @@ done
 # Transactional crash sweep: every deadlock policy must decide every txn and
 # leave every surviving replica's store equal to the commit-log replay.
 for policy in ${TXN_POLICIES}; do
-  "${BUILD_DIR}/bench/bench_e22_contention" --chaos --seeds "${TXN_SEEDS}" \
-    --policy "${policy}"
+  leg bench_e22_contention --chaos --seeds "${TXN_SEEDS}" --policy "${policy}"
 done
+
+printf '%s\n' "${summary[@]}"
+if [[ ${#failed[@]} -gt 0 ]]; then
+  echo "chaos: ${#failed[@]} of ${#summary[@]} legs failed:" >&2
+  printf 'chaos:   %s\n' "${failed[@]}" >&2
+  exit 1
+fi
+echo "chaos: all ${#summary[@]} legs passed"

@@ -36,12 +36,11 @@ BUILD_DIR="${BUILD_DIR}" SEEDS="${SOAK_SEEDS:-2}" ./scripts/soak.sh
 # identical to what the sanitized ctest suite already covered at small N.
 ./scripts/scale_smoke.sh
 
-# Golden stdout digests of the slow five benches (bench/CMakeLists.txt's
-# GOLDEN_SLOW); every other golden binary is a ctest test and already ran
-# above under the sanitizers. These run against the default build like the
-# scale smoke: under ASan they would take hours.
-SLOW_BENCHES=(bench_e5_buffering_scale bench_e12_overhead bench_e16_strategies
-  bench_e17_attribution bench_e21_scale)
+# Golden stdout digests of the slow benches (bench/golden_slow.txt, which
+# also keeps them out of ctest); every other golden binary is a ctest test
+# and already ran above under the sanitizers. These run against the default
+# build like the scale smoke: under ASan they would take hours.
+mapfile -t SLOW_BENCHES < <(grep '^[^#]' bench/golden_slow.txt)
 cmake --build build -j "$(nproc)" --target "${SLOW_BENCHES[@]}"
 ./scripts/golden.sh --build build "${SLOW_BENCHES[@]/#/bench/}"
 

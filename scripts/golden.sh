@@ -14,8 +14,9 @@
 #                (default: every entry)
 #
 # ctest runs each binary that takes under ~5 s as a golden.<name> test;
-# scripts/check.sh runs the slow five. A change that means to move a printed
-# number runs --update and names the number in CHANGES.md.
+# scripts/check.sh runs the slow ones listed in bench/golden_slow.txt. A
+# change that means to move a printed number runs --update and names the
+# number in CHANGES.md.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -28,7 +29,7 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --build) build="$2"; shift 2 ;;
     --update) update=1; shift ;;
-    -h|--help) sed -n '2,18p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,19p' "$0"; exit 0 ;;
     -*) echo "golden.sh: unknown option $1" >&2; exit 2 ;;
     *) only+=("$1"); shift ;;
   esac

@@ -6,10 +6,24 @@
 
 namespace catocs {
 
+namespace {
+
+// Deterministic retry cadence while backpressured: each tick re-checks
+// credits, refreshes the transport charge, and (under evict-laggard)
+// advances the laggard clock.
+constexpr sim::Duration kFlowRetryInterval = sim::Duration::Millis(5);
+
+// Evict-laggard: consecutive retry ticks the same slowest receiver must pin
+// the window shut before it is reported to membership. Generous enough to
+// outlast startup ack propagation and ordinary stability lag.
+constexpr uint32_t kLaggardPatience = 20;
+
+}  // namespace
+
 FlowController::FlowController(GroupCore* core) : core_(core) {
   core_->flow = this;
-  retry_timer_ = std::make_unique<sim::PeriodicTimer>(
-      core_->simulator, core_->config.flow_retry_interval, [this] { RetryTick(); });
+  retry_timer_ = std::make_unique<sim::PeriodicTimer>(core_->simulator, kFlowRetryInterval,
+                                                      [this] { RetryTick(); });
 }
 
 FlowController::~FlowController() = default;
@@ -40,7 +54,7 @@ SendStatus FlowController::Admit() {
     waiting_ = true;
     last_laggard_ = 0;
     stalled_ticks_ = 0;
-    retry_timer_->Start(core_->config.flow_retry_interval);
+    retry_timer_->Start(kFlowRetryInterval);
   }
   return SendStatus::kBackpressured;
 }
@@ -89,7 +103,7 @@ void FlowController::RetryTick() {
         last_laggard_ = laggard;
         stalled_ticks_ = 1;
       }
-      if (stalled_ticks_ >= core_->config.laggard_patience) {
+      if (stalled_ticks_ >= kLaggardPatience) {
         // The same receiver has pinned the window shut for the whole patience
         // interval: shed it through the ordinary suspicion path, which frees
         // its retention at the resulting view change.

@@ -50,10 +50,10 @@ enum class OverloadPolicy : uint8_t {
   // Admission control: drop the new message outright (kShed, counted in
   // sends_shed). Old traffic drains; new traffic pays the overload cost.
   kShedNew,
-  // Throttle, but if the same slowest receiver pins the window shut for
-  // laggard_patience consecutive retry ticks, hand it to the membership
-  // layer's suspicion path so the group sheds the laggard and frees its
-  // retention.
+  // Throttle, but if the same slowest receiver pins the window shut for 20
+  // consecutive 5 ms retry ticks (flow_control.cc), hand it to the
+  // membership layer's suspicion path so the group sheds the laggard and
+  // frees its retention.
   kEvictLaggard,
 };
 
@@ -158,16 +158,6 @@ struct GroupConfig {
 
   // What to do when admission is refused (window shut or budget critical).
   OverloadPolicy overload_policy = OverloadPolicy::kThrottle;
-
-  // Deterministic retry cadence while backpressured: each tick re-checks
-  // credits, refreshes the transport charge, and (under evict-laggard)
-  // advances the laggard clock.
-  sim::Duration flow_retry_interval = sim::Duration::Millis(5);
-
-  // Evict-laggard: consecutive retry ticks the same slowest receiver must
-  // pin the window shut before it is reported to membership. Generous enough
-  // to outlast startup ack propagation and ordinary stability lag.
-  uint32_t laggard_patience = 20;
 };
 
 struct View {

@@ -1,7 +1,5 @@
 #include "src/mem/pool.h"
 
-#include <cstdlib>
-
 namespace mem {
 
 namespace {
@@ -21,20 +19,9 @@ constexpr bool kAsanBuild =
     false;
 #endif
 
-bool ReadPassthroughEnv() {
-  if (kAsanBuild) {
-    return true;
-  }
-  const char* env = std::getenv("REPRO_MEM_PASSTHROUGH");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 }  // namespace
 
-bool SizeClassPool::passthrough() {
-  static const bool value = ReadPassthroughEnv();
-  return value;
-}
+bool SizeClassPool::passthrough() { return kAsanBuild; }
 
 SizeClassPool& SizeClassPool::Instance() {
   static SizeClassPool* pool = new SizeClassPool();  // never destroyed: blocks

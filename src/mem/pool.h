@@ -15,8 +15,8 @@
 //
 // Sanitizer escape hatch: recycling defeats AddressSanitizer's
 // use-after-free detection (a freed block is immediately valid again), so
-// under ASan — or when REPRO_MEM_PASSTHROUGH=1 is set — every call forwards
-// straight to operator new/delete and the pool is a pure pass-through.
+// under ASan every call forwards straight to operator new/delete and the
+// pool is a pure pass-through.
 
 #ifndef REPRO_SRC_MEM_POOL_H_
 #define REPRO_SRC_MEM_POOL_H_
@@ -56,8 +56,8 @@ class SizeClassPool {
 
   const PoolStats& stats() const { return stats_; }
 
-  // True when pooling is disabled (ASan build or REPRO_MEM_PASSTHROUGH=1)
-  // and every call forwards to operator new/delete.
+  // True when pooling is disabled (ASan build) and every call forwards to
+  // operator new/delete.
   static bool passthrough();
 
   static constexpr std::size_t kGranule = 64;

@@ -5,17 +5,18 @@
 // fully deterministic when many events share a timestamp — and independent
 // of the heap's internal shape.
 //
-// The structure is a pairing heap over pool-allocated nodes. An EventId
-// carries a direct node pointer, so Cancel is O(1): mark the node dead and
-// free its closure immediately — no hash lookup, no decrease-key. Dead nodes
-// stay linked until they surface at the root or a compaction pass rebuilds
-// the heap; the compaction threshold is adaptive to the live-set size
-// (churn-heavy runs at N=10k cancel far more events than they fire, and a
-// fixed threshold either thrashes small queues or lets huge ones bloat).
-// Nodes are recycled through a free list and never returned to the
-// allocator, which makes the stale-pointer check in Cancel safe: a node
-// reached through an old EventId is always readable, and its (never reused)
-// sequence number proves whether the event is still the one the id named.
+// Two structures hold the pending set. A binary min-heap of small
+// (when, seq, slot) keys orders the events; the closures themselves live in
+// a side slab of fixed 256-slot blocks (a block never moves once allocated,
+// so growing the slab neither relocates closures nor doubles its footprint).
+// A slot remembers the seq of the event that owns it, and 0 once freed.
+//
+// Cancel is O(1): it frees the slot and its closure at once and leaves the
+// key in the heap. A key whose slot no longer holds its seq is dead; dead
+// keys are dropped when they reach the top, and swept in one linear pass
+// once they outnumber max(128, live). The threshold scales with the live
+// set (churn-heavy runs at N=10k cancel far more events than they fire, and
+// a fixed threshold either thrashes small queues or lets huge ones bloat).
 
 #ifndef REPRO_SRC_SIM_EVENT_QUEUE_H_
 #define REPRO_SRC_SIM_EVENT_QUEUE_H_
@@ -34,12 +35,12 @@ namespace sim {
 using EventFn = InlineFn;
 
 // Opaque handle for cancelling a scheduled event. The sequence number is the
-// identity (never reused); the node pointer is a location hint that lets
-// Cancel skip any lookup. A handle with a stale or null pointer simply fails
-// to cancel, it can never cancel the wrong event.
+// identity (never reused); the slot says where its closure sits. A handle
+// whose slot has since been freed or reused simply fails to cancel, it can
+// never cancel the wrong event.
 struct EventId {
   uint64_t seq = 0;
-  void* node = nullptr;
+  uint32_t slot = 0;
 
   bool valid() const { return seq != 0; }
 };
@@ -47,7 +48,6 @@ struct EventId {
 class EventQueue {
  public:
   EventQueue() = default;
-  ~EventQueue();
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -65,9 +65,9 @@ class EventQueue {
   bool Empty() const { return live_ == 0; }
 
   size_t size() const { return live_; }
-  // Total nodes physically in the heap, including lazily cancelled ones
-  // (exposed so tests can observe compaction).
-  size_t heap_size() const { return live_ + dead_; }
+  // Keys physically in the heap, including lazily cancelled ones (exposed so
+  // tests can observe the sweep).
+  size_t heap_size() const { return heap_.size(); }
 
   // Fire time of the next live event. Must not be called when Empty().
   TimePoint NextTime();
@@ -80,52 +80,43 @@ class EventQueue {
   Fired PopNext();
 
  private:
-  struct Node {
+  struct Key {
     TimePoint when;
-    uint64_t seq = 0;  // 0 = free or cancelled; live seqs are never reused
-    bool dead = false;
-    Node* child = nullptr;    // leftmost child
-    Node* sibling = nullptr;  // next sibling (free-list link when pooled)
+    uint64_t seq;
+    uint32_t slot;
+  };
+
+  struct Slot {
+    uint64_t seq = 0;  // owning event's seq; 0 while free
     EventFn fn;
   };
 
-  // (when, seq) strict weak — in fact total — order: the root of a melded
-  // heap is always the unique minimum, so pop order equals sorted order
-  // regardless of tree shape. Compaction therefore never perturbs replay.
-  static bool Before(const Node* a, const Node* b) {
-    if (a->when != b->when) {
-      return a->when < b->when;
+  // The std heap algorithms keep the greatest key on top, so ordering by
+  // "fires later" keeps the earliest (when, seq) there. The order is total:
+  // every valid heap shape pops the same sequence, so a sweep's rebuild
+  // never perturbs replay.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
-    return a->seq < b->seq;
-  }
+  };
 
-  static constexpr size_t kNodesPerBlock = 256;
-  // Never compact below this many dead nodes: small queues shouldn't pay for
-  // rebuild passes. Above it, compact once the dead outnumber the live —
-  // the threshold scales with the live set, so a 10k-process run tolerates
-  // proportionally more lazy garbage before sweeping.
-  static constexpr size_t kCompactMinDead = 128;
+  static constexpr size_t kSlotsPerBlock = 256;
+  // Never sweep below this many dead keys: small queues shouldn't pay for
+  // rebuild passes.
+  static constexpr size_t kSweepMinDead = 128;
 
-  static Node* Meld(Node* a, Node* b);
-  // Detaches the root's children and melds them pairwise (two-pass).
-  Node* MeldChildren(Node* root);
-
-  Node* AllocNode();
-  void FreeNode(Node* node);
-  // Pops dead roots until the root is live (or the heap is empty).
+  Slot& SlotAt(uint32_t slot) { return blocks_[slot / kSlotsPerBlock][slot % kSlotsPerBlock]; }
+  bool Dead(const Key& key) { return SlotAt(key.slot).seq != key.seq; }
+  void FreeSlot(uint32_t slot);
+  // Pops dead keys until the top is live (or the heap is empty).
   void SkipDead();
-  // Rebuilds the heap from its live nodes only, freeing every dead node.
-  void Compact();
 
-  Node* root_ = nullptr;
-  Node* free_list_ = nullptr;
-  std::vector<std::unique_ptr<Node[]>> blocks_;
+  std::vector<Key> heap_;
+  std::vector<std::unique_ptr<Slot[]>> blocks_;
+  std::vector<uint32_t> free_slots_;
   size_t live_ = 0;
-  size_t dead_ = 0;
   uint64_t next_seq_ = 1;
-  // Scratch for the pairwise meld and compaction walks; member so repeated
-  // pops reuse its capacity.
-  std::vector<Node*> scratch_;
 };
 
 }  // namespace sim

@@ -2,7 +2,7 @@
 // as the simulator's event closure type. Every Schedule used to pay one
 // heap allocation just to type-erase its lambda; almost all event closures
 // (timer re-arms, transport retransmits, network delivery thunks) fit in a
-// few pointers, so InlineFn keeps them in the event-queue entry itself and
+// few pointers, so InlineFn keeps them inside the event queue's slab slot and
 // falls back to the heap only for outsized captures.
 //
 // Move-only is deliberate: no event closure in the tree is ever copied

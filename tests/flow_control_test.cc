@@ -261,13 +261,13 @@ TEST(FlowControlTest, ShedNewDropsDuringPartialBatch) {
 
 // --- Edge case 3: laggard eviction racing a partition heal ------------------
 //
-// Under evict-laggard, a receiver that pins the window shut for
-// laggard_patience consecutive retry ticks is handed to membership as a
-// suspect. Here the partition heals while the resulting flush is still in
-// flight: the eviction must win deterministically (the suspicion was already
-// fed to membership), the survivors install {1, 2}, and the sender's window
-// reopens against the survivor floor. The heartbeat detector is parked at 5s
-// so only the laggard path can evict — this isolates the policy under test.
+// Under evict-laggard, a receiver that pins the window shut for 20
+// consecutive retry ticks is handed to membership as a suspect. Here the
+// partition heals while the resulting flush is still in flight: the eviction
+// must win deterministically (the suspicion was already fed to membership),
+// the survivors install {1, 2}, and the sender's window reopens against the
+// survivor floor. The heartbeat detector is parked at 5s so only the laggard
+// path can evict — this isolates the policy under test.
 TEST(FlowControlTest, LaggardEvictionRacesHeal) {
   auto run = [] {
     sim::Simulator s(43);
@@ -279,8 +279,6 @@ TEST(FlowControlTest, LaggardEvictionRacesHeal) {
     cfg.group.ack_gossip_interval = sim::Duration::Millis(10);
     cfg.group.send_window = 4;
     cfg.group.overload_policy = OverloadPolicy::kEvictLaggard;
-    cfg.group.flow_retry_interval = sim::Duration::Millis(5);
-    cfg.group.laggard_patience = 20;
     GroupFabric fabric(&s, cfg);
 
     std::ostringstream trace;

@@ -1,7 +1,7 @@
 // Raw-speed allocation primitives: the size-class pool and the inline event
 // closure. The pool is process-global, so every stats assertion works in
-// deltas; pooled behaviour is skipped in passthrough mode (ASan or
-// REPRO_MEM_PASSTHROUGH=1) where every call is operator new.
+// deltas; pooled behaviour is skipped in passthrough mode (ASan builds)
+// where every call is operator new.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@ namespace {
 
 TEST(PoolTest, RecyclesBlocksThroughFreeLists) {
   if (SizeClassPool::passthrough()) {
-    GTEST_SKIP() << "pool disabled (ASan / REPRO_MEM_PASSTHROUGH)";
+    GTEST_SKIP() << "pool disabled (ASan build)";
   }
   SizeClassPool& pool = SizeClassPool::Instance();
   const PoolStats before = pool.stats();
@@ -55,7 +55,7 @@ TEST(PoolTest, OversizedBlocksBypassTheFreeLists) {
 
 TEST(PoolTest, TrimFreeListsReleasesParkedBytes) {
   if (SizeClassPool::passthrough()) {
-    GTEST_SKIP() << "pool disabled (ASan / REPRO_MEM_PASSTHROUGH)";
+    GTEST_SKIP() << "pool disabled (ASan build)";
   }
   SizeClassPool& pool = SizeClassPool::Instance();
   void* p = pool.Allocate(64);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -260,6 +265,126 @@ TEST(EventQueueTest, CancelAllLeavesEmptyQueue) {
   }
   EXPECT_TRUE(q.Empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+// Model check: random schedule/cancel/pop sequences, some issued from inside
+// popped closures, against a reference set ordered by (when, schedule order).
+// Cancels target pending, fired and already-cancelled ids alike, so stale ids
+// whose slot now holds a newer event are exercised too.
+TEST(EventQueueTest, RandomOpsMatchSortedReference) {
+  enum State : char { kPending, kFired, kCancelled };
+  // Percent weights of schedule, cancel and pop in phases of 2000 steps:
+  // grow, cancel-heavy (drives the sweep), drain.
+  constexpr int kWeights[3][3] = {{70, 15, 15}, {10, 80, 10}, {15, 15, 70}};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    std::set<std::pair<int64_t, size_t>> ref;  // (when, tag); tags rise with schedule order
+    std::vector<EventId> ids;                  // indexed by tag
+    std::vector<int64_t> when_of;
+    std::vector<State> state;
+    std::vector<std::weak_ptr<char>> closure_alive;
+    std::vector<size_t> pending;  // tags still pending, any order
+    std::vector<size_t> pending_pos;
+    std::vector<size_t> fired_tags;
+    int64_t now = 0;
+    size_t fired_cancels = 0, repeat_cancels = 0, stale_reused = 0, nested = 0, sweeps = 0;
+
+    auto drop_pending = [&](size_t tag) {
+      const size_t pos = pending_pos[tag];
+      pending[pos] = pending.back();
+      pending_pos[pending[pos]] = pos;
+      pending.pop_back();
+    };
+    std::function<void()> schedule;
+    std::function<void(bool)> cancel;
+    schedule = [&] {
+      const size_t tag = ids.size();
+      const int64_t when = now + static_cast<int64_t>(rng.NextBelow(16));  // frequent ties
+      const bool nests = rng.NextBool(0.2);
+      auto token = std::make_shared<char>();
+      closure_alive.push_back(token);
+      ids.push_back(q.Schedule(TimePoint(when), [&, tag, nests, token] {
+        fired_tags.push_back(tag);
+        if (nests) {
+          ++nested;
+          schedule();
+          cancel(rng.NextBool(0.5));
+        }
+      }));
+      when_of.push_back(when);
+      state.push_back(kPending);
+      pending_pos.push_back(pending.size());
+      pending.push_back(tag);
+      ref.emplace(when, tag);
+    };
+    cancel = [&](bool pick_pending) {
+      if (ids.empty() || (pick_pending && pending.empty())) {
+        return;
+      }
+      const size_t tag = pick_pending ? pending[rng.NextBelow(pending.size())]
+                                      : static_cast<size_t>(rng.NextBelow(ids.size()));
+      const bool expect = state[tag] == kPending;
+      if (!expect) {
+        ++(state[tag] == kFired ? fired_cancels : repeat_cancels);
+        for (size_t live : pending) {
+          stale_reused += ids[live].slot == ids[tag].slot;
+        }
+      }
+      const size_t heap_before = q.heap_size();
+      ASSERT_EQ(q.Cancel(ids[tag]), expect) << "tag " << tag;
+      if (!expect) {
+        ASSERT_EQ(q.heap_size(), heap_before);
+        return;
+      }
+      state[tag] = kCancelled;
+      ref.erase({when_of[tag], tag});
+      drop_pending(tag);
+      EXPECT_TRUE(closure_alive[tag].expired()) << "Cancel frees the closure at once";
+      sweeps += q.heap_size() < heap_before;
+      ASSERT_LE(q.heap_size() - q.size(), std::max<size_t>(128, q.size()));
+    };
+
+    for (int step = 0; step < 30000; ++step) {
+      const int* w = kWeights[(step / 2000) % 3];
+      const auto roll = static_cast<int>(rng.NextBelow(100));
+      if (roll < w[0]) {
+        schedule();
+      } else if (roll < w[0] + w[1]) {
+        cancel(rng.NextBool(0.5));
+      } else if (!ref.empty()) {
+        const auto [when, tag] = *ref.begin();
+        if (rng.NextBool(0.5)) {  // PopNext must skip dead keys without it too
+          ASSERT_EQ(q.NextTime(), TimePoint(when));
+        }
+        EventQueue::Fired fired = q.PopNext();
+        ASSERT_EQ(fired.when, TimePoint(when));
+        ref.erase(ref.begin());
+        state[tag] = kFired;
+        drop_pending(tag);
+        now = when;
+        const size_t before = fired_tags.size();
+        fired.fn();
+        ASSERT_EQ(fired_tags.size(), before + 1);
+        ASSERT_EQ(fired_tags[before], tag) << "popped out of (when, seq) order";
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.Empty(), ref.empty());
+      ASSERT_GE(q.heap_size(), q.size());
+    }
+    // Every branch the model means to cover was actually taken.
+    EXPECT_GT(nested, 0u);
+    EXPECT_GT(fired_cancels, 0u);
+    EXPECT_GT(repeat_cancels, 0u);
+    EXPECT_GT(stale_reused, 0u);
+    EXPECT_GT(sweeps, 0u);
+    while (!ref.empty()) {
+      ASSERT_EQ(q.PopNext().when, TimePoint(ref.begin()->first));
+      ref.erase(ref.begin());
+    }
+    EXPECT_TRUE(q.Empty());
+  }
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
